@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -16,9 +15,6 @@ import (
 	"clare/internal/crs"
 	"clare/internal/telemetry"
 )
-
-// maxWireLine mirrors the crs server's per-line bound.
-const maxWireLine = 4 * 1024 * 1024
 
 // Server is the cluster's wire front-end: it speaks the existing CRS
 // protocol unchanged (HELLO/RETRIEVE/WRITE/SYNC/STATS/BEGIN/ASSERT/
@@ -123,11 +119,10 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	sessID := s.nextSess.Add(1)
 	in := bufio.NewScanner(conn)
-	in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
+	in.Buffer(make([]byte, 0, 64*1024), crs.MaxWireLine)
 	out := bufio.NewWriter(conn)
 	reply := func(format string, args ...any) {
 		fmt.Fprintf(out, format+"\n", args...)
-		out.Flush()
 	}
 
 	var tx *routedTx
@@ -142,7 +137,13 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	defer dropTx()
 
-	for in.Scan() {
+	for {
+		// One flush per reply, as on the crs server: before blocking
+		// for the next request.
+		out.Flush()
+		if !in.Scan() {
+			break
+		}
 		line := strings.TrimSpace(in.Text())
 		if line == "" {
 			continue
@@ -153,6 +154,7 @@ func (s *Server) handle(conn net.Conn) {
 			reply("OK crs %d", sessID)
 		case "QUIT":
 			reply("BYE")
+			out.Flush()
 			return
 		case "STATS":
 			kv, err := s.router.Stats()
@@ -165,27 +167,19 @@ func (s *Server) handle(conn net.Conn) {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys) // deterministic wire order, cluster-wide
-			fmt.Fprintf(out, "STATS %d\n", len(keys))
+			crs.WriteCount(out, "STATS ", int64(len(keys)))
 			for _, k := range keys {
-				fmt.Fprintf(out, "S %s %d\n", k, kv[k])
+				out.WriteString("S ")
+				out.WriteString(k)
+				crs.WriteCount(out, " ", kv[k])
 			}
-			out.Flush()
 		case "FLIGHT":
 			n, err := optionalCount(rest)
 			if err != nil {
 				reply("ERR usage: FLIGHT [n]")
 				continue
 			}
-			recs := s.router.Flight().Snapshot(n)
-			fmt.Fprintf(out, "FLIGHT %d\n", len(recs))
-			for _, rec := range recs {
-				blob, err := json.Marshal(rec)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "F %s\n", blob)
-			}
-			out.Flush()
+			crs.WriteDump(out, "FLIGHT", "F", s.router.Flight().Snapshot(n))
 		case "SLOWLOG":
 			n, err := optionalCount(rest)
 			if err != nil {
@@ -197,15 +191,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply("ERR %v", errText(err))
 				continue
 			}
-			fmt.Fprintf(out, "SLOWLOG %d\n", len(caps))
-			for _, c := range caps {
-				blob, err := json.Marshal(c)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "Q %s\n", blob)
-			}
-			out.Flush()
+			crs.WriteDump(out, "SLOWLOG", "Q", caps)
 		case "RETRIEVE":
 			modeWord, goalText, ok := strings.Cut(rest, " ")
 			if !ok {
@@ -222,11 +208,14 @@ func (s *Server) handle(conn net.Conn) {
 				reply("ERR %v", errText(err))
 				continue
 			}
-			reply("CANDIDATES %d", len(res.Clauses))
+			crs.WriteCount(out, "CANDIDATES ", int64(len(res.Clauses)))
 			for _, cl := range res.Clauses {
-				reply("C %s", cl)
+				out.WriteString("C ")
+				out.WriteString(cl)
+				out.WriteByte('\n')
 			}
-			reply("%s", res.Stats)
+			out.WriteString(res.Stats)
+			out.WriteByte('\n')
 			if tc != nil {
 				reply("TRACE %s", spanToken(res.Spans))
 			}
@@ -246,11 +235,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply("ERR %v", errText(err))
 				continue
 			}
-			fmt.Fprintf(out, "EXPLAIN %d\n", len(res.Entries))
-			for _, e := range res.Entries {
-				fmt.Fprintf(out, "E %s %s\n", e.Key, e.Value)
-			}
-			out.Flush()
+			crs.WriteExplain(out, res.Entries)
 			if tc != nil {
 				reply("TRACE %s", spanToken(res.Spans))
 			}
@@ -285,9 +270,10 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			fmt.Fprintf(out, "LOG %d %d\n", len(recs), last)
 			for _, rec := range recs {
-				fmt.Fprintf(out, "R %s\n", rec.WireText())
+				out.WriteString("R ")
+				out.WriteString(rec.WireText())
+				out.WriteByte('\n')
 			}
-			out.Flush()
 		case "BEGIN":
 			if tx != nil {
 				reply("ERR crs: transaction already in progress")
@@ -412,7 +398,8 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 	if err := in.Err(); errors.Is(err, bufio.ErrTooLong) {
-		reply("ERR line too long (max %d bytes)", maxWireLine)
+		reply("ERR line too long (max %d bytes)", crs.MaxWireLine)
+		out.Flush()
 	}
 }
 

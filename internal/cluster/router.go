@@ -161,6 +161,11 @@ type group struct {
 	shard    int
 	nodes    []*node
 	shippers []*wal.Shipper
+
+	// shardText and plan are the shard number and the flight record's
+	// "shard=N" plan, spelled once here rather than on every retrieval.
+	shardText string
+	plan      string
 }
 
 // Router owns the shard map and the per-backend connection pools, and
@@ -240,7 +245,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		if len(replicas) == 0 {
 			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
 		}
-		g := &group{shard: i}
+		g := &group{shard: i, shardText: strconv.Itoa(i)}
+		g.plan = "shard=" + g.shardText
 		for _, addr := range replicas {
 			if addr == "" {
 				return nil, fmt.Errorf("cluster: shard %d has an empty replica address", i)
@@ -619,7 +625,7 @@ func callLadder[T any](r *Router, g *group, cands []*node, first int, tr *teleme
 		netSpan := tr.Span(span, "net")
 		if netSpan != nil {
 			netSpan.SetAttr("addr", n.addr)
-			netSpan.SetAttr("attempt", fmt.Sprint(attempt))
+			netSpan.SetAttr("attempt", strconv.Itoa(attempt))
 		}
 		res, err := callNode(r, n, func(c *crs.Client) (T, error) { return op(c, netSpan) })
 		if err == nil {
@@ -628,7 +634,7 @@ func callLadder[T any](r *Router, g *group, cands []*node, first int, tr *teleme
 			if span != nil {
 				span.SetAttr("addr", n.addr)
 				if attempt > 0 {
-					span.SetAttr("failovers", fmt.Sprint(attempt))
+					span.SetAttr("failovers", strconv.Itoa(attempt))
 				}
 			}
 			return res, nil
@@ -834,7 +840,7 @@ func (r *Router) RetrieveTraced(mode, goal string, tc *telemetry.TraceContext) (
 	finishOK := func(res *crs.RetrieveResult) *crs.RetrieveResult {
 		r.met.latency.ObserveDuration(time.Since(start))
 		if root != nil {
-			root.SetAttr("candidates", fmt.Sprint(len(res.Clauses)))
+			root.SetAttr("candidates", strconv.Itoa(len(res.Clauses)))
 			root.End()
 		}
 		if tc != nil {
@@ -866,31 +872,31 @@ func (r *Router) RetrieveTraced(mode, goal string, tc *telemetry.TraceContext) (
 	var hedged atomic.Bool
 	var res *crs.RetrieveResult
 	if mode != "software" {
-		shard := ShardOf(pi, len(r.groups))
+		g := r.groups[ShardOf(pi, len(r.groups))]
 		if root != nil {
-			root.SetAttr("shard", fmt.Sprint(shard))
+			root.SetAttr("shard", g.shardText)
 		}
 		sp := tr.Span(root, "shard")
 		if sp != nil {
-			sp.SetAttr("shard", fmt.Sprint(shard))
+			sp.SetAttr("shard", g.shardText)
 		}
-		res, err = callGroupHedged(r, r.groups[shard], pi, tr, sp, &hedged, retrieveOp)
+		res, err = callGroupHedged(r, g, pi, tr, sp, &hedged, retrieveOp)
 		if sp != nil {
 			if err != nil {
 				sp.SetAttr("error", err.Error())
 			} else {
-				sp.SetAttr("candidates", fmt.Sprint(len(res.Clauses)))
+				sp.SetAttr("candidates", strconv.Itoa(len(res.Clauses)))
 			}
 			sp.End()
 		}
 		if err == nil {
-			r.met.requests[shard].Inc()
-			r.observeRouted(pi, mode, fmt.Sprintf("shard=%d", shard), start, tr, &hedged, res, nil)
+			r.met.requests[g.shard].Inc()
+			r.observeRouted(pi, mode, g.plan, start, tr, &hedged, res, nil)
 			return finishOK(res), nil
 		}
 		if !errors.Is(err, errUnknownPredicate) {
 			r.met.errors.Inc()
-			r.observeRouted(pi, mode, fmt.Sprintf("shard=%d", shard), start, tr, &hedged, nil, err)
+			r.observeRouted(pi, mode, g.plan, start, tr, &hedged, nil, err)
 			return nil, finishErr(err)
 		}
 		// The owning shard has never heard of the predicate (the KB may
@@ -967,7 +973,7 @@ func (r *Router) fanout(mode, goal, pred string, tr *telemetry.Trace, root *tele
 			// each worker opens (and owns) its shard span itself.
 			sp := tr.Span(root, "shard")
 			if sp != nil {
-				sp.SetAttr("shard", fmt.Sprint(g.shard))
+				sp.SetAttr("shard", g.shardText)
 			}
 			res, err := callGroupHedged(r, g, pred, tr, sp, hedged, op)
 			if err == nil {
@@ -980,7 +986,7 @@ func (r *Router) fanout(mode, goal, pred string, tr *telemetry.Trace, root *tele
 				if err != nil {
 					sp.SetAttr("error", err.Error())
 				} else {
-					sp.SetAttr("candidates", fmt.Sprint(len(res.Clauses)))
+					sp.SetAttr("candidates", strconv.Itoa(len(res.Clauses)))
 				}
 				sp.End()
 			}
@@ -1067,16 +1073,16 @@ func (r *Router) ExplainTraced(mode, goal string, tc *telemetry.TraceContext) (*
 	}
 
 	if mode != "software" {
-		shard := ShardOf(pi, len(r.groups))
+		g := r.groups[ShardOf(pi, len(r.groups))]
 		sp := tr.Span(root, "shard")
-		sp.SetAttr("shard", fmt.Sprint(shard))
-		res, err := callGroup(r, r.groups[shard], tr, sp, explainOp)
+		sp.SetAttr("shard", g.shardText)
+		res, err := callGroup(r, g, tr, sp, explainOp)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
 		sp.End()
 		if err == nil {
-			r.met.requests[shard].Inc()
+			r.met.requests[g.shard].Inc()
 			return finishOK(res), nil
 		}
 		if !errors.Is(err, errUnknownPredicate) {
@@ -1094,7 +1100,7 @@ func (r *Router) ExplainTraced(mode, goal string, tc *telemetry.TraceContext) (*
 		go func(i int, g *group) {
 			defer wg.Done()
 			sp := tr.Span(root, "shard")
-			sp.SetAttr("shard", fmt.Sprint(g.shard))
+			sp.SetAttr("shard", g.shardText)
 			results[i], errs[i] = callGroup(r, g, tr, sp, explainOp)
 			if errs[i] != nil {
 				sp.SetAttr("error", errs[i].Error())
@@ -1226,8 +1232,8 @@ func parseStatsLine(line string) (total, fs1, fs2 int64) {
 		if !ok {
 			continue
 		}
-		var n int64
-		if _, err := fmt.Sscanf(v, "%d", &n); err != nil {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
 			continue
 		}
 		switch k {

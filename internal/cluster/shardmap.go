@@ -17,6 +17,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 
 	"clare/internal/parse"
 	"clare/internal/term"
@@ -81,7 +82,7 @@ func GoalIndicator(goal string) (string, error) {
 	case term.Atom:
 		return string(t) + "/0", nil
 	case *term.Compound:
-		return fmt.Sprintf("%s/%d", t.Functor, len(t.Args)), nil
+		return t.Functor + "/" + strconv.Itoa(len(t.Args)), nil
 	}
 	return "", fmt.Errorf("cluster: goal %q is not callable", goal)
 }

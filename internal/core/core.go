@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,7 +206,7 @@ type Indicator struct {
 	Arity   int
 }
 
-func (pi Indicator) String() string { return fmt.Sprintf("%s/%d", pi.Functor, pi.Arity) }
+func (pi Indicator) String() string { return pi.Functor + "/" + strconv.Itoa(pi.Arity) }
 
 // Predicate is one disk-resident predicate under CLARE management.
 type Predicate struct {
@@ -571,6 +572,8 @@ func (rt *Retrieval) TraceID() uint64 {
 
 // DecodeCandidates reconstructs the candidate clauses (head, body).
 func (rt *Retrieval) DecodeCandidates() (heads, bodies []term.Term, err error) {
+	heads = make([]term.Term, 0, len(rt.Candidates))
+	bodies = make([]term.Term, 0, len(rt.Candidates))
 	for _, sc := range rt.Candidates {
 		h, b, err := rt.pred.File.DecodeClause(sc)
 		if err != nil {
@@ -678,12 +681,12 @@ func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *tele
 		}
 		if root != nil {
 			root.AddSim(rt.Stats.Total)
-			root.SetAttr("candidates", fmt.Sprint(len(rt.Candidates)))
+			root.SetAttr("candidates", strconv.Itoa(len(rt.Candidates)))
 			if degraded != "" {
 				root.SetAttr("degraded", degraded)
 			}
 			if retries > 0 {
-				root.SetAttr("retries", fmt.Sprint(retries))
+				root.SetAttr("retries", strconv.Itoa(retries))
 			}
 			root.End()
 			r.tracer.Finish(tr)
@@ -743,9 +746,9 @@ func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *tele
 		if sp := tr.Span(root, stageLease); sp != nil {
 			sp.Start = leaseStart
 			sp.Wall = leaseWait
-			sp.SetAttr("slot", fmt.Sprint(u.slot))
+			sp.SetAttr("slot", strconv.Itoa(u.slot))
 		}
-		root.SetAttr("board", fmt.Sprint(u.slot))
+		root.SetAttr("board", strconv.Itoa(u.slot))
 
 		if r.cfg.Engine == EngineNative {
 			switch effMode {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -115,46 +115,55 @@ func (c *queryCache) stats() QueryCacheStats {
 // ones. ok is false for goals that are uncacheable (non-callable parts)
 // or too large to be worth keying.
 func queryKey(t term.Term) (key string, ok bool) {
-	var b strings.Builder
-	seen := make(map[*term.Var]int)
-	var walk func(t term.Term) bool
-	walk = func(t term.Term) bool {
-		if b.Len() > maxQueryKeyLen {
-			return false
-		}
-		switch t := term.Deref(t).(type) {
-		case *term.Var:
-			if t.Name == "_" {
-				b.WriteString("_;")
-				return true
-			}
-			id, have := seen[t]
-			if !have {
-				id = len(seen)
-				seen[t] = id
-			}
-			fmt.Fprintf(&b, "v%d;", id)
-		case term.Atom:
-			fmt.Fprintf(&b, "a%d:%s;", len(t), string(t))
-		case term.Int:
-			fmt.Fprintf(&b, "i%d;", int64(t))
-		case term.Float:
-			fmt.Fprintf(&b, "f%x;", float64(t))
-		case *term.Compound:
-			fmt.Fprintf(&b, "c%d:%d:%s(", len(t.Args), len(t.Functor), t.Functor)
-			for _, a := range t.Args {
-				if !walk(a) {
-					return false
-				}
-			}
-			b.WriteString(");")
-		default:
-			return false
-		}
-		return true
-	}
-	if !walk(t) || b.Len() > maxQueryKeyLen {
+	k := keyBuilder{buf: make([]byte, 0, 64)}
+	if !k.walk(t) || len(k.buf) > maxQueryKeyLen {
 		return "", false
 	}
-	return b.String(), true
+	return string(k.buf), true
+}
+
+// keyBuilder appends one goal's cache key. It runs on every retrieval,
+// so it appends with strconv rather than formatting with fmt.
+type keyBuilder struct {
+	buf  []byte
+	seen []*term.Var // named variables in first-occurrence order
+}
+
+func (k *keyBuilder) walk(t term.Term) bool {
+	if len(k.buf) > maxQueryKeyLen {
+		return false
+	}
+	switch t := term.Deref(t).(type) {
+	case *term.Var:
+		if t.Name == "_" {
+			k.buf = append(k.buf, "_;"...)
+			return true
+		}
+		id := slices.Index(k.seen, t)
+		if id < 0 {
+			id = len(k.seen)
+			k.seen = append(k.seen, t)
+		}
+		k.buf = append(strconv.AppendInt(append(k.buf, 'v'), int64(id), 10), ';')
+	case term.Atom:
+		k.buf = strconv.AppendInt(append(k.buf, 'a'), int64(len(t)), 10)
+		k.buf = append(append(append(k.buf, ':'), t...), ';')
+	case term.Int:
+		k.buf = append(strconv.AppendInt(append(k.buf, 'i'), int64(t), 10), ';')
+	case term.Float:
+		k.buf = append(strconv.AppendFloat(append(k.buf, 'f'), float64(t), 'x', -1, 64), ';')
+	case *term.Compound:
+		k.buf = strconv.AppendInt(append(k.buf, 'c'), int64(len(t.Args)), 10)
+		k.buf = strconv.AppendInt(append(k.buf, ':'), int64(len(t.Functor)), 10)
+		k.buf = append(append(append(k.buf, ':'), t.Functor...), '(')
+		for _, a := range t.Args {
+			if !k.walk(a) {
+				return false
+			}
+		}
+		k.buf = append(k.buf, ");"...)
+	default:
+		return false
+	}
+	return true
 }

@@ -14,6 +14,10 @@ import (
 	"clare/internal/telemetry"
 )
 
+// maxPrealloc caps the capacity a reply header's count may reserve up
+// front; a longer reply grows past it as its lines arrive.
+const maxPrealloc = 1024
+
 // DefaultTimeout bounds the dial and each wire read/write when Dial is
 // used. Generous: a retrieval behind it may queue for a board.
 const DefaultTimeout = 30 * time.Second
@@ -100,7 +104,7 @@ func (c *Client) connect() error {
 	}
 	c.conn = conn
 	c.in = bufio.NewScanner(conn)
-	c.in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
+	c.in.Buffer(make([]byte, 0, 64*1024), MaxWireLine)
 	c.out = bufio.NewWriter(conn)
 	line, err := c.roundTrip("HELLO")
 	if err != nil {
@@ -194,15 +198,18 @@ func (c *Client) Close() error {
 // connection is unusable afterwards.
 func (c *Client) Sever() error { return c.conn.Close() }
 
-func (c *Client) send(line string) error {
+// send writes one request line, the concatenation of parts, and
+// flushes it.
+func (c *Client) send(parts ...string) error {
 	if to := c.effTimeout(); to > 0 {
 		if err := c.conn.SetWriteDeadline(time.Now().Add(to)); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintln(c.out, line); err != nil {
-		return err
+	for _, p := range parts {
+		c.out.WriteString(p)
 	}
+	c.out.WriteByte('\n')
 	return c.out.Flush()
 }
 
@@ -221,8 +228,8 @@ func (c *Client) recv() (string, error) {
 	return c.in.Text(), nil
 }
 
-func (c *Client) roundTrip(line string) (string, error) {
-	if err := c.send(line); err != nil {
+func (c *Client) roundTrip(parts ...string) (string, error) {
+	if err := c.send(parts...); err != nil {
 		return "", err
 	}
 	resp, err := c.recv()
@@ -233,6 +240,17 @@ func (c *Client) roundTrip(line string) (string, error) {
 		return "", &ServerError{Msg: strings.TrimPrefix(resp, "ERR ")}
 	}
 	return resp, nil
+}
+
+// replyCount parses a "<verb> <n>" reply header; n must not be
+// negative.
+func replyCount(line, verb string) (int, bool) {
+	rest, ok := strings.CutPrefix(line, verb)
+	if !ok || !strings.HasPrefix(rest, " ") {
+		return 0, false
+	}
+	n, err := strconv.Atoi(rest[1:])
+	return n, err == nil && n >= 0
 }
 
 // RetrieveResult is a client-side view of one retrieval.
@@ -290,15 +308,18 @@ func (c *Client) RetrieveTraced(mode, goal string, tc *telemetry.TraceContext) (
 }
 
 func (c *Client) retrieveOnce(mode, goal string, tc *telemetry.TraceContext) (*RetrieveResult, error) {
-	first, err := c.roundTrip(fmt.Sprintf("RETRIEVE %s %s.%s", mode, goal, traceHeader(tc)))
+	first, err := c.roundTrip("RETRIEVE ", mode, " ", goal, ".", traceHeader(tc))
 	if err != nil {
 		return nil, err
 	}
-	var n int
-	if _, err := fmt.Sscanf(first, "CANDIDATES %d", &n); err != nil {
+	n, ok := replyCount(first, "CANDIDATES")
+	if !ok {
 		return nil, fmt.Errorf("crs client: unexpected reply %q", first)
 	}
 	res := &RetrieveResult{}
+	if n > 0 {
+		res.Clauses = make([]string, 0, min(n, maxPrealloc))
+	}
 	for i := 0; i < n; i++ {
 		line, err := c.recv()
 		if err != nil {
@@ -398,12 +419,12 @@ func (c *Client) ExplainTracedWithTimeout(mode, goal string, tc *telemetry.Trace
 }
 
 func (c *Client) explainOnce(mode, goal string, tc *telemetry.TraceContext) (*ExplainResult, error) {
-	first, err := c.roundTrip(fmt.Sprintf("EXPLAIN %s %s.%s", mode, goal, traceHeader(tc)))
+	first, err := c.roundTrip("EXPLAIN ", mode, " ", goal, ".", traceHeader(tc))
 	if err != nil {
 		return nil, err
 	}
-	var n int
-	if _, err := fmt.Sscanf(first, "EXPLAIN %d", &n); err != nil {
+	n, ok := replyCount(first, "EXPLAIN")
+	if !ok {
 		return nil, fmt.Errorf("crs client: unexpected explain reply %q", first)
 	}
 	res := &ExplainResult{}
@@ -454,11 +475,11 @@ func (c *Client) statsOnce() (map[string]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var n int
-	if _, err := fmt.Sscanf(first, "STATS %d", &n); err != nil {
+	n, ok := replyCount(first, "STATS")
+	if !ok {
 		return nil, fmt.Errorf("crs client: unexpected stats reply %q", first)
 	}
-	out := make(map[string]int64, n)
+	out := make(map[string]int64, min(n, maxPrealloc))
 	for i := 0; i < n; i++ {
 		line, err := c.recv()
 		if err != nil {
@@ -510,19 +531,21 @@ func slowTailOnce(c *Client, n int) ([]telemetry.SlowCapture, error) {
 // dumpOnce runs one "<verb> [n]" → "<verb> <k>" + k "<tag> <json>"
 // exchange, decoding each body line into T.
 func dumpOnce[T any](c *Client, verb, tag string, n int) ([]T, error) {
-	req := verb
+	var first string
+	var err error
 	if n > 0 {
-		req = fmt.Sprintf("%s %d", verb, n)
+		first, err = c.roundTrip(verb, " ", strconv.Itoa(n))
+	} else {
+		first, err = c.roundTrip(verb)
 	}
-	first, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	var k int
-	if _, err := fmt.Sscanf(first, verb+" %d", &k); err != nil {
+	k, ok := replyCount(first, verb)
+	if !ok {
 		return nil, fmt.Errorf("crs client: unexpected %s reply %q", verb, first)
 	}
-	out := make([]T, 0, k)
+	out := make([]T, 0, min(k, maxPrealloc))
 	for i := 0; i < k; i++ {
 		line, err := c.recv()
 		if err != nil {
@@ -554,7 +577,7 @@ func (c *Client) Begin() error {
 
 // Assert stages a clause (source without final '.').
 func (c *Client) Assert(clause string) error {
-	return c.simple(fmt.Sprintf("ASSERT %s.", clause))
+	return c.simple("ASSERT ", clause, ".")
 }
 
 // Commit commits the transaction.
@@ -571,8 +594,8 @@ func (c *Client) Abort() error {
 	return err
 }
 
-func (c *Client) simple(line string) error {
-	resp, err := c.roundTrip(line)
+func (c *Client) simple(parts ...string) error {
+	resp, err := c.roundTrip(parts...)
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func (c *Client) RetractWithTimeout(clause string, d time.Duration) (uint64, err
 }
 
 func (c *Client) write(op, clause string) (uint64, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("WRITE %s %s.", op, clause))
+	resp, err := c.roundTrip("WRITE ", op, " ", clause, ".")
 	if err != nil {
 		return 0, err
 	}
@@ -74,16 +74,18 @@ func (c *Client) write(op, clause string) (uint64, error) {
 // single-shard crsd, routing to a cluster front-end). Not retried: the
 // caller (a follower loop) re-issues from its own watermark.
 func (c *Client) SyncLog(shard int, from uint64) ([]wal.Record, uint64, error) {
-	first, err := c.roundTrip(fmt.Sprintf("SYNC %d %d", shard, from))
+	first, err := c.roundTrip("SYNC ", strconv.Itoa(shard), " ", strconv.FormatUint(from, 10))
 	if err != nil {
 		return nil, 0, err
 	}
-	var n int
-	var last uint64
-	if _, err := fmt.Sscanf(first, "LOG %d %d", &n, &last); err != nil {
+	rest, ok := strings.CutPrefix(first, "LOG ")
+	nText, lastText, _ := strings.Cut(rest, " ")
+	n, err1 := strconv.Atoi(nText)
+	last, err2 := strconv.ParseUint(lastText, 10, 64)
+	if !ok || err1 != nil || err2 != nil || n < 0 {
 		return nil, 0, fmt.Errorf("crs client: unexpected sync reply %q", first)
 	}
-	recs := make([]wal.Record, 0, n)
+	recs := make([]wal.Record, 0, min(n, maxPrealloc))
 	for i := 0; i < n; i++ {
 		line, err := c.recv()
 		if err != nil {
@@ -117,7 +119,7 @@ func (c *Client) ReplWithTimeout(rec wal.Record, d time.Duration) (uint64, error
 // push half of log shipping. Not retried; the shipper's rewind protocol
 // handles every delivery ambiguity.
 func (c *Client) Repl(rec wal.Record) (uint64, error) {
-	resp, err := c.roundTrip("REPL " + rec.WireText())
+	resp, err := c.roundTrip("REPL ", rec.WireText())
 	if err != nil {
 		return 0, err
 	}

@@ -130,6 +130,35 @@ func TestTransactionAbort(t *testing.T) {
 	}
 }
 
+// TestRetrieveOwnLockedPredicate: a session retrieving (or explaining)
+// a predicate its own open transaction has write-locked is refused at
+// once instead of waiting forever on its own lock; after ABORT the
+// retrieval is served.
+func TestRetrieveOwnLockedPredicate(t *testing.T) {
+	s := newServer(t)
+	sess := s.OpenSession()
+	defer sess.Close()
+	if err := sess.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Assert(parse.MustTerm("married_couple(ghost, casper)"), term.Atom("true")); err != nil {
+		t.Fatal(err)
+	}
+	goal := parse.MustTerm("married_couple(ghost, X)")
+	if _, err := sess.Retrieve(goal, nil); err == nil || !strings.Contains(err.Error(), "write-locked") {
+		t.Errorf("retrieve under own write lock = %v, want write-locked refusal", err)
+	}
+	if _, err := sess.Explain(goal, nil, nil); err == nil || !strings.Contains(err.Error(), "write-locked") {
+		t.Errorf("explain under own write lock = %v, want write-locked refusal", err)
+	}
+	if err := sess.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Retrieve(goal, nil); err != nil {
+		t.Errorf("retrieve after abort: %v", err)
+	}
+}
+
 func TestWriteLockBlocksUntilCommit(t *testing.T) {
 	s := newServer(t)
 	writer := s.OpenSession()

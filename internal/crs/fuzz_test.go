@@ -54,7 +54,7 @@ func wireReplyOK(line string) bool {
 	tok, _, _ := strings.Cut(line, " ")
 	switch tok {
 	case "OK", "BYE", "ERR", "CANDIDATES", "STATS", "S", "C", "LOG", "R",
-		"EXPLAIN", "E", "TRACE":
+		"EXPLAIN", "E", "TRACE", "FLIGHT", "F", "SLOWLOG", "Q":
 		return true
 	}
 	return false
@@ -97,6 +97,14 @@ func FuzzWireParse(f *testing.F) {
 		"RETRIEVE fs2 m([a, b | T], X).\n",
 		"\x00\xff\xfe garbage \x01\n",
 		strings.Repeat("A", 70*1024) + "\n", // crosses the scanner's initial buffer
+		// Pipelined scripts: many verbs in one write, error replies
+		// between good ones, each answered in order.
+		"HELLO\nRETRIEVE fs1+fs2 m(1, X).\nRETRIEVE warp m(1, X).\nRETRIEVE fs1 m(((.\n" +
+			"FLIGHT x\nEXPLAIN fs2 m(1, X).\nSTATS\nQUIT\n",
+		"STATS\nRETRIEVE fs2 m(X, x).\nBEGIN\nASSERT m(8, q).\nCOMMIT\n" +
+			"RETRIEVE software m(8, Y).\nSYNC 0 0\nFLIGHT\nSLOWLOG 2\n",
+		"RETRIEVE fs2 m(1, X). trace=00000000000000ab:0000000000000001\n" +
+			"EXPLAIN fs2 m(1, X). trace=zz\nFLIGHT 2\nSLOWLOG x\nRETRIEVE auto m(2, x).\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -140,7 +148,7 @@ func FuzzWireParse(f *testing.F) {
 		client.Close()
 
 		sc := bufio.NewScanner(bytes.NewReader(out))
-		sc.Buffer(make([]byte, 0, 64*1024), maxWireLine+64)
+		sc.Buffer(make([]byte, 0, 64*1024), MaxWireLine+64)
 		for sc.Scan() {
 			if line := sc.Text(); !wireReplyOK(line) {
 				t.Fatalf("malformed reply line %s for input %s", truncate([]byte(line), 128), truncate(data, 128))

@@ -90,10 +90,16 @@ import (
 // EXPLAIN keys and values never contain spaces; the key order is the
 // filter pipeline's and is part of the wire contract (appending new
 // keys is compatible).
+//
+// Flushing: a server sends each reply, all its lines together, in one
+// write — it flushes once, just before it blocks reading the next
+// request. Clients may therefore pipeline: several requests written at
+// once are answered in order, one complete reply each.
 
-// maxWireLine bounds one protocol line in either direction. A longer
+// MaxWireLine bounds one protocol line in either direction. A longer
 // line is answered with "ERR line too long" and the connection dropped.
-const maxWireLine = 4 * 1024 * 1024
+// The cluster front-end, which speaks the same protocol, shares it.
+const MaxWireLine = 4 * 1024 * 1024
 
 // syncBatch caps the records one SYNC reply carries; a follower that
 // needs more keeps pulling from its advanced watermark.
@@ -198,16 +204,21 @@ func (s *Server) handle(conn net.Conn) {
 	sess := s.OpenSession()
 	defer sess.Close()
 	in := bufio.NewScanner(conn)
-	in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
+	in.Buffer(make([]byte, 0, 64*1024), MaxWireLine)
 	out := bufio.NewWriter(conn)
 	reply := func(format string, args ...any) {
 		if strings.HasPrefix(format, "ERR") {
 			s.met.wireErrs.Inc()
 		}
 		fmt.Fprintf(out, format+"\n", args...)
-		out.Flush()
 	}
-	for in.Scan() {
+	for {
+		// The one flush per reply: whatever the last request wrote
+		// leaves now, before the handler blocks for the next one.
+		out.Flush()
+		if !in.Scan() {
+			break
+		}
 		line := strings.TrimSpace(in.Text())
 		if line == "" {
 			continue
@@ -218,46 +229,30 @@ func (s *Server) handle(conn net.Conn) {
 			reply("OK crs %d", sess.ID())
 		case "QUIT":
 			reply("BYE")
+			out.Flush()
 			return
 		case "STATS":
 			kv := s.Snapshot().lines()
-			fmt.Fprintf(out, "STATS %d\n", len(kv))
+			WriteCount(out, "STATS ", int64(len(kv)))
 			for _, p := range kv {
-				fmt.Fprintf(out, "S %s %d\n", p.Key, p.Value)
+				out.WriteString("S ")
+				out.WriteString(p.Key)
+				WriteCount(out, " ", p.Value)
 			}
-			out.Flush()
 		case "FLIGHT":
 			n, err := optionalCount(rest)
 			if err != nil {
 				reply("ERR usage: FLIGHT [<n>]")
 				continue
 			}
-			recs := s.flight.Snapshot(n)
-			fmt.Fprintf(out, "FLIGHT %d\n", len(recs))
-			for _, rec := range recs {
-				blob, err := json.Marshal(rec)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "F %s\n", blob)
-			}
-			out.Flush()
+			WriteDump(out, "FLIGHT", "F", s.flight.Snapshot(n))
 		case "SLOWLOG":
 			n, err := optionalCount(rest)
 			if err != nil {
 				reply("ERR usage: SLOWLOG [<n>]")
 				continue
 			}
-			caps := s.slowLog.Tail(n)
-			fmt.Fprintf(out, "SLOWLOG %d\n", len(caps))
-			for _, c := range caps {
-				blob, err := json.Marshal(c)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(out, "Q %s\n", blob)
-			}
-			out.Flush()
+			WriteDump(out, "SLOWLOG", "Q", s.slowLog.Tail(n))
 		case "BEGIN":
 			if err := sess.Begin(); err != nil {
 				reply("ERR %v", err)
@@ -334,9 +329,10 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			fmt.Fprintf(out, "LOG %d %d\n", len(recs), last)
 			for _, rec := range recs {
-				fmt.Fprintf(out, "R %s\n", rec.WireText())
+				out.WriteString("R ")
+				out.WriteString(rec.WireText())
+				out.WriteByte('\n')
 			}
-			out.Flush()
 		case "REPL":
 			rec, err := wal.ParseRecordText(rest)
 			if err != nil {
@@ -376,16 +372,22 @@ func (s *Server) handle(conn net.Conn) {
 				reply("ERR %v", err)
 				continue
 			}
-			reply("CANDIDATES %d", len(heads))
+			WriteCount(out, "CANDIDATES ", int64(len(heads)))
 			for i := range heads {
-				if term.Equal(bodies[i], term.Atom("true")) {
-					reply("C %s.", heads[i])
-				} else {
-					reply("C %s :- %s.", heads[i], bodies[i])
+				out.WriteString("C ")
+				term.Write(out, heads[i])
+				if !term.Equal(bodies[i], term.Atom("true")) {
+					out.WriteString(" :- ")
+					term.Write(out, bodies[i])
 				}
+				out.WriteString(".\n")
 			}
-			reply("STATS mode=%v total=%d fs1=%d fs2=%d",
-				rt.Mode, rt.Stats.TotalClauses, rt.Stats.AfterFS1, rt.Stats.AfterFS2)
+			b := append(out.AvailableBuffer(), "STATS mode="...)
+			b = append(b, rt.Mode.String()...)
+			b = strconv.AppendInt(append(b, " total="...), int64(rt.Stats.TotalClauses), 10)
+			b = strconv.AppendInt(append(b, " fs1="...), int64(rt.Stats.AfterFS1), 10)
+			b = strconv.AppendInt(append(b, " fs2="...), int64(rt.Stats.AfterFS2), 10)
+			out.Write(append(b, '\n'))
 			if tc != nil {
 				reply("TRACE %s", traceToken(rt.Trace()))
 			}
@@ -411,12 +413,7 @@ func (s *Server) handle(conn net.Conn) {
 				reply("ERR %v", err)
 				continue
 			}
-			entries := p.Entries()
-			fmt.Fprintf(out, "EXPLAIN %d\n", len(entries))
-			for _, e := range entries {
-				fmt.Fprintf(out, "E %s %s\n", e.Key, e.Value)
-			}
-			out.Flush()
+			WriteExplain(out, p.Entries())
 			if tc != nil {
 				reply("TRACE %s", traceToken(p.Trace))
 			}
@@ -425,7 +422,46 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 	if err := in.Err(); errors.Is(err, bufio.ErrTooLong) {
-		reply("ERR line too long (max %d bytes)", maxWireLine)
+		reply("ERR line too long (max %d bytes)", MaxWireLine)
+		out.Flush()
+	}
+}
+
+// WriteCount writes the reply line "<head><n>", such as a CANDIDATES
+// header, without fmt. The cluster front-end writes its replies with it
+// too.
+func WriteCount(out *bufio.Writer, head string, n int64) {
+	b := append(out.AvailableBuffer(), head...)
+	b = strconv.AppendInt(b, n, 10)
+	out.Write(append(b, '\n'))
+}
+
+// WriteExplain writes an EXPLAIN reply's header and entry lines.
+func WriteExplain(out *bufio.Writer, entries []core.ExplainEntry) {
+	WriteCount(out, "EXPLAIN ", int64(len(entries)))
+	for _, e := range entries {
+		out.WriteString("E ")
+		out.WriteString(e.Key)
+		out.WriteByte(' ')
+		out.WriteString(e.Value)
+		out.WriteByte('\n')
+	}
+}
+
+// WriteDump writes a FLIGHT or SLOWLOG reply: "<verb> <k>", then one
+// "<tag> <json>" line per item. An item that does not marshal is
+// skipped. The cluster front-end writes its dumps with it too.
+func WriteDump[T any](out *bufio.Writer, verb, tag string, items []T) {
+	WriteCount(out, verb+" ", int64(len(items)))
+	for _, v := range items {
+		blob, err := json.Marshal(v)
+		if err != nil {
+			continue
+		}
+		out.WriteString(tag)
+		out.WriteByte(' ')
+		out.Write(blob)
+		out.WriteByte('\n')
 	}
 }
 

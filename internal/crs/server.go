@@ -392,15 +392,22 @@ func (c *Session) Explain(goal term.Term, mode *core.SearchMode, tc *telemetry.T
 }
 
 // lookup validates the session and resolves the goal's predicate state.
+// A predicate this session's open transaction has write-locked is
+// refused: taking its read lock would wait forever on our own lock.
 func (c *Session) lookup(goal term.Term) (core.Indicator, *predState, error) {
+	pi, err := indicatorOf(goal)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return core.Indicator{}, nil, ErrClosed
 	}
+	if c.tx != nil && err == nil {
+		if _, mine := c.tx.staged[pi]; mine {
+			c.mu.Unlock()
+			return core.Indicator{}, nil, fmt.Errorf("crs: %v is write-locked by this session's transaction (COMMIT or ABORT first)", pi)
+		}
+	}
 	c.mu.Unlock()
-
-	pi, err := indicatorOf(goal)
 	if err != nil {
 		return core.Indicator{}, nil, err
 	}
@@ -441,10 +448,11 @@ func (c *Session) account(pi core.Indicator, m core.SearchMode, st *core.StageSt
 	s.statsMu.Unlock()
 	s.met.requests[m].Inc()
 	s.met.predCounter(pi).Inc()
-	thr := s.slowThreshold(pi.String())
-	s.lat.Observe(pi.String(), wall)
-	s.slo.Observe(pi.String(), wall, false)
-	if thr > 0 && wall > thr && s.slowLog.Offer(pi.String()) {
+	key := pi.String()
+	thr := s.slowThreshold(key)
+	s.lat.Observe(key, wall)
+	s.slo.Observe(key, wall, false)
+	if thr > 0 && wall > thr && s.slowLog.Offer(key) {
 		s.captureSlow(pi, m, goal, wall, thr, traceID)
 	}
 }

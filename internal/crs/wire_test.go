@@ -45,7 +45,7 @@ func rawDial(t *testing.T, addr string) *rawSession {
 	}
 	t.Cleanup(func() { conn.Close() })
 	r := &rawSession{conn: conn, in: bufio.NewScanner(conn)}
-	r.in.Buffer(make([]byte, 0, 64*1024), maxWireLine)
+	r.in.Buffer(make([]byte, 0, 64*1024), MaxWireLine)
 	return r
 }
 
@@ -83,7 +83,7 @@ func TestWireMalformedFrames(t *testing.T) {
 	}
 }
 
-// TestWireOversizedPayload: a line above maxWireLine draws "ERR line too
+// TestWireOversizedPayload: a line above MaxWireLine draws "ERR line too
 // long" and the server drops the connection.
 func TestWireOversizedPayload(t *testing.T) {
 	s := newServer(t)
@@ -93,7 +93,7 @@ func TestWireOversizedPayload(t *testing.T) {
 	}
 	// One token larger than the server's scanner limit, no newline needed:
 	// the scanner errors as soon as its buffer fills.
-	if _, err := r.conn.Write(bytes.Repeat([]byte{'a'}, maxWireLine+1)); err != nil {
+	if _, err := r.conn.Write(bytes.Repeat([]byte{'a'}, MaxWireLine+1)); err != nil {
 		t.Fatal(err)
 	}
 	if !r.in.Scan() {
@@ -235,6 +235,31 @@ func TestServerMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestReplyCount: the client's reply-header parser takes exactly
+// "<verb> <n>" with n >= 0; anything else from the server is rejected
+// rather than trusted as a line count.
+func TestReplyCount(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		n    int
+		ok   bool
+	}{
+		{"CANDIDATES 16", 16, true},
+		{"CANDIDATES 0", 0, true},
+		{"CANDIDATES -1", 0, false},
+		{"CANDIDATES", 0, false},
+		{"CANDIDATES16", 0, false},
+		{"CANDIDATES 16 x", 0, false},
+		{"EXPLAIN 16", 0, false},
+		{"ERR CANDIDATES 1", 0, false},
+	} {
+		n, ok := replyCount(tc.line, "CANDIDATES")
+		if ok != tc.ok || (ok && n != tc.n) {
+			t.Errorf("replyCount(%q) = %d, %v; want %d, %v", tc.line, n, ok, tc.n, tc.ok)
 		}
 	}
 }

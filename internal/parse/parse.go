@@ -98,10 +98,15 @@ func (p *Parser) ReadAll() ([]term.Term, error) {
 	}
 }
 
+// stdOps is the operator table Term parses against. Term reads one term
+// and cannot run op/3, so every call shares this table read-only instead
+// of building its own.
+var stdOps = NewOpTable()
+
 // Term parses a single source string holding exactly one term (no trailing
-// '.').  Convenience for tests and query building.
+// '.'): a wire goal or clause, a query, a test literal.
 func Term(src string) (term.Term, error) {
-	p, err := New(src)
+	p, err := NewWithOps(src, stdOps)
 	if err != nil {
 		return nil, err
 	}

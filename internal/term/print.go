@@ -2,9 +2,20 @@ package term
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
+
+// Writer is what the printer renders into: a *strings.Builder for String,
+// or a *bufio.Writer when a reply line goes straight onto a connection.
+// Write errors stay with the writer (a bufio.Writer keeps the first one
+// and returns it from Flush).
+type Writer interface {
+	io.StringWriter
+	io.ByteWriter
+}
 
 // String renders the term in Edinburgh syntax with list notation and atom
 // quoting. Operators are not reconstructed; compound terms print in
@@ -15,12 +26,8 @@ func (a Atom) String() string { return quoteAtom(string(a)) }
 func (i Int) String() string { return strconv.FormatInt(int64(i), 10) }
 
 func (f Float) String() string {
-	s := strconv.FormatFloat(float64(f), 'g', -1, 64)
-	// Ensure the token reads back as a float, not an integer.
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
-	}
-	return s
+	var buf [32]byte
+	return string(appendFloat(buf[:0], float64(f)))
 }
 
 func (v *Var) String() string {
@@ -32,60 +39,97 @@ func (v *Var) String() string {
 
 func (c *Compound) String() string {
 	var b strings.Builder
-	writeTerm(&b, c)
+	Write(&b, c)
 	return b.String()
 }
 
-func writeTerm(b *strings.Builder, t Term) {
-	t = Deref(t)
-	c, ok := t.(*Compound)
-	if !ok {
-		b.WriteString(t.String())
-		return
+// Write renders t into w byte for byte as t.String() spells it, without
+// building the intermediate string.
+func Write(w Writer, t Term) {
+	var buf [32]byte
+	switch t := Deref(t).(type) {
+	case Atom:
+		writeAtom(w, string(t))
+	case Int:
+		writeBytes(w, strconv.AppendInt(buf[:0], int64(t), 10))
+	case Float:
+		writeBytes(w, appendFloat(buf[:0], float64(t)))
+	case *Var:
+		if t.Name != "" && t.Name != "_" {
+			w.WriteString(t.Name)
+			return
+		}
+		w.WriteString("_G")
+		writeBytes(w, strconv.AppendUint(buf[:0], t.id, 10))
+	case *Compound:
+		writeCompound(w, t)
+	default:
+		w.WriteString(t.String())
 	}
+}
+
+func writeBytes(w Writer, b []byte) {
+	for _, c := range b {
+		w.WriteByte(c)
+	}
+}
+
+// appendFloat appends f so that it reads back as a float, not an integer.
+func appendFloat(dst []byte, f float64) []byte {
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+	for _, c := range dst[start:] {
+		if c == '.' || c == 'e' || c == 'E' {
+			return dst
+		}
+	}
+	return append(dst, ".0"...)
+}
+
+func writeCompound(w Writer, c *Compound) {
 	if c.Functor == ConsFunctor && len(c.Args) == 2 {
-		writeList(b, c)
+		writeList(w, c)
 		return
 	}
 	// The control constructs print infix, parenthesised, so bodies read
 	// naturally and re-parse exactly.
 	if len(c.Args) == 2 && controlOp(c.Functor) {
-		b.WriteByte('(')
-		writeTerm(b, c.Args[0])
-		b.WriteString(c.Functor)
-		writeTerm(b, c.Args[1])
-		b.WriteByte(')')
+		w.WriteByte('(')
+		Write(w, c.Args[0])
+		w.WriteString(c.Functor)
+		Write(w, c.Args[1])
+		w.WriteByte(')')
 		return
 	}
-	b.WriteString(quoteAtom(c.Functor))
-	b.WriteByte('(')
+	writeAtom(w, c.Functor)
+	w.WriteByte('(')
 	for i, a := range c.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			w.WriteByte(',')
 		}
-		writeTerm(b, a)
+		Write(w, a)
 	}
-	b.WriteByte(')')
+	w.WriteByte(')')
 }
 
-func writeList(b *strings.Builder, c *Compound) {
-	b.WriteByte('[')
-	writeTerm(b, c.Args[0])
+func writeList(w Writer, c *Compound) {
+	w.WriteByte('[')
+	Write(w, c.Args[0])
 	t := Deref(c.Args[1])
 	for {
 		if t == NilAtom {
-			b.WriteByte(']')
+			w.WriteByte(']')
 			return
 		}
 		if cc, ok := t.(*Compound); ok && cc.Functor == ConsFunctor && len(cc.Args) == 2 {
-			b.WriteByte(',')
-			writeTerm(b, cc.Args[0])
+			w.WriteByte(',')
+			Write(w, cc.Args[0])
 			t = Deref(cc.Args[1])
 			continue
 		}
-		b.WriteByte('|')
-		writeTerm(b, t)
-		b.WriteByte(']')
+		w.WriteByte('|')
+		Write(w, t)
+		w.WriteByte(']')
 		return
 	}
 }
@@ -107,23 +151,38 @@ func quoteAtom(s string) string {
 		return s
 	}
 	var b strings.Builder
-	b.WriteByte('\'')
+	writeQuoted(&b, s)
+	return b.String()
+}
+
+func writeAtom(w Writer, s string) {
+	if atomNeedsNoQuotes(s) {
+		w.WriteString(s)
+		return
+	}
+	writeQuoted(w, s)
+}
+
+func writeQuoted(w Writer, s string) {
+	w.WriteByte('\'')
 	for _, r := range s {
 		switch r {
 		case '\'':
-			b.WriteString(`\'`)
+			w.WriteString(`\'`)
 		case '\\':
-			b.WriteString(`\\`)
+			w.WriteString(`\\`)
 		case '\n':
-			b.WriteString(`\n`)
+			w.WriteString(`\n`)
 		case '\t':
-			b.WriteString(`\t`)
+			w.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			// Invalid UTF-8 decodes to utf8.RuneError and is written as
+			// its encoding, as strings.Builder.WriteRune does.
+			var buf [utf8.UTFMax]byte
+			writeBytes(w, buf[:utf8.EncodeRune(buf[:], r)])
 		}
 	}
-	b.WriteByte('\'')
-	return b.String()
+	w.WriteByte('\'')
 }
 
 func atomNeedsNoQuotes(s string) bool {

@@ -11,6 +11,7 @@ package term
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -160,7 +161,7 @@ func (v *Var) displayName() string {
 	if v.Name != "" && v.Name != "_" {
 		return v.Name
 	}
-	return fmt.Sprintf("_G%d", v.id)
+	return "_G" + strconv.FormatUint(v.id, 10)
 }
 
 // Ground reports whether t contains no unbound variables.
