@@ -257,6 +257,11 @@ type Retriever struct {
 	// runtime (SetScanWorkers) without rebuilding the retriever.
 	scanPool    *scw.ScanPool
 	scanWorkers atomic.Int32
+	// nativeFS1FS2 runs mode (d) on the native engine: always
+	// retrieveFS1FS2Native, held as a field so the ledger oracle test can
+	// drive the retry and degradation ladder over the reference per-chunk
+	// loop.
+	nativeFS1FS2 func(r *Retriever, goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error
 
 	// storeMap pins the mmap'd store backing zero-copy predicates (nil
 	// for heap-loaded retrievers). See MapRetriever.
@@ -315,6 +320,8 @@ func NewWithSymbols(cfg Config, syms *symtab.Table) (*Retriever, error) {
 		met:    newCoreMetrics(cfg.Metrics),
 		tracer: cfg.Tracer,
 		preds:  make(map[Indicator]*Predicate),
+
+		nativeFS1FS2: (*Retriever).retrieveFS1FS2Native,
 	}
 	if cfg.Engine == EngineNative {
 		// The pool bound is independent of the configured worker count so
@@ -762,7 +769,7 @@ func (r *Retriever) RetrieveTracedPlan(goal term.Term, mode SearchMode, tc *tele
 			case ModeFS2:
 				err = r.retrieveFS2AllNative(goal, pred, rt, u)
 			case ModeFS1FS2:
-				err = r.retrieveFS1FS2Native(goal, pred, rt, u)
+				err = r.nativeFS1FS2(r, goal, pred, rt, u)
 			default:
 				err = fmt.Errorf("core: unknown mode %d", mode)
 			}
@@ -826,7 +833,11 @@ func (r *Retriever) encodeQuery(goal term.Term, rt *Retrieval) (qd scw.QueryDesc
 	defer func() {
 		rt.wall.encode += time.Since(start)
 		if sp != nil {
-			sp.SetAttr("cache", map[bool]string{true: "hit", false: "miss"}[rt.Stats.QueryCacheHit])
+			cache := "miss"
+			if rt.Stats.QueryCacheHit {
+				cache = "hit"
+			}
+			sp.SetAttr("cache", cache)
 			sp.End()
 		}
 	}()
@@ -879,7 +890,7 @@ func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrie
 	}
 	if sp := rt.trace.Span(nil, stageDiskFetch); sp != nil {
 		sp.AddSim(diskTime)
-		sp.SetAttr("bytes", fmt.Sprint(pred.File.SizeBytes()))
+		sp.SetAttr("bytes", strconv.Itoa(pred.File.SizeBytes()))
 		sp.End()
 	}
 	sp := rt.trace.Span(nil, stageHostMatch)
@@ -898,7 +909,7 @@ func (r *Retriever) retrieveSoftware(goal term.Term, pred *Predicate, rt *Retrie
 	rt.wall.host += time.Since(start)
 	if sp != nil {
 		sp.AddSim(rt.Stats.HostMatch)
-		sp.SetAttr("clauses", fmt.Sprint(len(all)))
+		sp.SetAttr("clauses", strconv.Itoa(len(all)))
 		sp.End()
 	}
 	rt.Stats.DiskFetch = diskTime

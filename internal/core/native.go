@@ -31,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"clare/internal/clausefile"
@@ -48,6 +49,9 @@ import (
 type nativeArena struct {
 	pbuf scw.ParScanBuf
 	nm   *fs2.NativeMatcher
+	// scanT and fetchT hold the fs1+fs2 pipeline's per-chunk FS1 and
+	// fetch times for pipelineTime.
+	scanT, fetchT []time.Duration
 }
 
 // arena leases a native arena from the pool, building one on first use.
@@ -96,7 +100,7 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 	rt.wall.fs1 += time.Since(scanStart)
 	if scanSpan != nil {
 		scanSpan.AddSim(fs1Time)
-		scanSpan.SetAttr("survivors", fmt.Sprint(len(buf.Pos)))
+		scanSpan.SetAttr("survivors", strconv.Itoa(len(buf.Pos)))
 		scanSpan.End()
 	}
 
@@ -118,7 +122,7 @@ func (r *Retriever) retrieveFS1Native(goal term.Term, pred *Predicate, rt *Retri
 	rt.wall.fetch += time.Since(fetchStart)
 	if fetchSpan != nil {
 		fetchSpan.AddSim(rt.Stats.DiskFetch)
-		fetchSpan.SetAttr("bytes", fmt.Sprint(fetchBytes))
+		fetchSpan.SetAttr("bytes", strconv.Itoa(fetchBytes))
 		fetchSpan.End()
 	}
 	rt.Stats.Total = rt.Stats.FS1Scan + rt.Stats.DiskFetch
@@ -141,7 +145,7 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	}
 	if sp := rt.trace.Span(nil, stageDiskFetch); sp != nil {
 		sp.AddSim(diskTime)
-		sp.SetAttr("bytes", fmt.Sprint(pred.File.SizeBytes()))
+		sp.SetAttr("bytes", strconv.Itoa(pred.File.SizeBytes()))
 		sp.End()
 	}
 	_, q, err := r.encodeQuery(goal, rt)
@@ -158,7 +162,7 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	r.nativeFilter(a.nm, all, rt)
 	rt.wall.fs2 += time.Since(start)
 	if matchSpan != nil {
-		matchSpan.SetAttr("examined", fmt.Sprint(len(all)))
+		matchSpan.SetAttr("examined", strconv.Itoa(len(all)))
 		matchSpan.End()
 	}
 	rt.Stats.DiskFetch = diskTime
@@ -166,11 +170,17 @@ func (r *Retriever) retrieveFS2AllNative(goal term.Term, pred *Predicate, rt *Re
 	return nil
 }
 
-// retrieveFS1FS2Native is mode (d) on the native engine, keeping the sim
-// path's chunked pipeline shape (and its chunked index-stream accounting)
-// with the columnar scan and native matcher doing the work per chunk. In
-// the simulated pipeline the per-chunk match side is free, so the slower
-// side of each downstream step is always the fetch.
+// retrieveFS1FS2Native is mode (d) on the native engine. The columnar
+// scan runs once over the whole secondary file, partitioned across
+// ScanWorkers exactly like mode (b); chunks exist only to price the sim
+// path's FS1→FS2 pipeline. One walk over the chunk grid takes each
+// chunk's survivors from the sorted position list and issues the drive
+// calls in the order the per-chunk pipeline would (Stream₀, FetchRun₀,
+// Stream₁, …), so drive statistics, fault schedules and the degradation
+// ladder see the same chunked stream. One native matcher pass then
+// filters every survivor. In the simulated pipeline the per-chunk match
+// side is free, so the slower side of each downstream step is always
+// the fetch.
 func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Retrieval, u *boardUnit) error {
 	qd, q, err := r.encodeQuery(goal, rt)
 	if err != nil {
@@ -193,93 +203,96 @@ func (r *Retriever) retrieveFS1FS2Native(goal term.Term, pred *Predicate, rt *Re
 	if err := a.nm.SetQuery(q); err != nil {
 		return err
 	}
-	col := ix.Columnar()
 	all := pred.File.All()
 
 	access, err := u.drive.Access()
 	if err != nil {
 		return err
 	}
-	var scanChunks, matchChunks []time.Duration
+	scanSpan := rt.trace.Span(nil, stageFS1Scan)
+	scanStart := time.Now()
+	ix.Columnar().ParScanInto(qd, r.ScanWorkers(), r.scanPool, &a.pbuf)
+	pos := a.pbuf.Out.Pos
+	rt.Stats.IndexBytes = a.pbuf.Out.BytesScanned
+	rt.Stats.AfterFS1 = len(pos)
+	rt.Stats.MaskedHits = a.pbuf.Out.MaskedHits
+	rt.wall.fs1 += time.Since(scanStart)
+	if scanSpan != nil {
+		scanSpan.SetAttr("survivors", strconv.Itoa(len(pos)))
+		scanSpan.End()
+	}
+
+	fetchSpan := rt.trace.Span(nil, stageDiskFetch)
+	fetchStart := time.Now()
+	if chunks := (n + chunk - 1) / chunk; cap(a.scanT) < chunks {
+		a.scanT = make([]time.Duration, 0, chunks)
+		a.fetchT = make([]time.Duration, 0, chunks)
+	}
+	scanT, fetchT := a.scanT[:0], a.fetchT[:0]
+	var scanSim time.Duration
+	next := 0 // first survivor not yet assigned to a chunk
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		chunkSpan := rt.trace.Span(nil, "chunk")
-		if chunkSpan != nil {
-			chunkSpan.SetAttr("entries", fmt.Sprintf("%d-%d", lo, hi))
-		}
-		scanSpan := rt.trace.Span(chunkSpan, stageFS1Scan)
-		scanStart := time.Now()
-		// Chunks default to one disk track (~1.5k entries), well under
-		// scw.ParScanMinEntries, so the partitioned call degenerates to a
-		// serial sweep unless StreamChunkEntries is configured large.
-		col.ParScanRangeInto(qd, lo, hi, r.ScanWorkers(), r.scanPool, &a.pbuf)
-		buf := &a.pbuf.Out
-		rt.Stats.IndexBytes += buf.BytesScanned
-		sTime := scw.ScanTime(buf.BytesScanned)
-		dt, err := u.drive.Stream(buf.BytesScanned)
+		bytes := (hi - lo) * scw.EntrySize
+		sTime := scw.ScanTime(bytes)
+		dt, err := u.drive.Stream(bytes)
 		if err != nil {
 			return err
 		}
 		if dt > sTime {
 			sTime = dt
 		}
-		rt.Stats.FS1Scan += sTime
-		rt.Stats.AfterFS1 += len(buf.Pos)
-		rt.Stats.MaskedHits += buf.MaskedHits
-		scanChunks = append(scanChunks, sTime)
-		rt.wall.fs1 += time.Since(scanStart)
-		if scanSpan != nil {
-			scanSpan.AddSim(sTime)
-			scanSpan.SetAttr("survivors", fmt.Sprint(len(buf.Pos)))
-			scanSpan.End()
-		}
+		scanSim += sTime
+		scanT = append(scanT, sTime)
 
-		fetchSpan := rt.trace.Span(chunkSpan, stageDiskFetch)
-		fetchStart := time.Now()
-		fetchBytes := 0
-		for _, p := range buf.Pos {
-			fetchBytes += all[p].SizeBytes
+		first, fetchBytes := next, 0
+		for ; next < len(pos) && int(pos[next]) < hi; next++ {
+			fetchBytes += all[pos[next]].SizeBytes
 		}
 		rt.Stats.ClauseBytes += fetchBytes
-		fetch, err := u.drive.FetchRun(len(buf.Pos), fetchBytes)
+		fetch, err := u.drive.FetchRun(next-first, fetchBytes)
 		if err != nil {
 			return err
 		}
 		rt.Stats.DiskFetch += fetch
-		rt.wall.fetch += time.Since(fetchStart)
-		if fetchSpan != nil {
-			fetchSpan.AddSim(fetch)
-			fetchSpan.SetAttr("bytes", fmt.Sprint(fetchBytes))
-			fetchSpan.End()
-		}
-
-		matchSpan := rt.trace.Span(chunkSpan, stageFS2Match)
-		matchStart := time.Now()
-		examined := len(buf.Pos)
-		for _, p := range buf.Pos {
-			sc := all[p]
-			if a.nm.Match(sc.Head) {
-				rt.Candidates = append(rt.Candidates, sc)
-			} else if a.nm.LastRejectXB() {
-				rt.Stats.FS2RejectsXB++
-			} else {
-				rt.Stats.FS2RejectsLevel++
-			}
-		}
-		rt.wall.fs2 += time.Since(matchStart)
-		if matchSpan != nil {
-			matchSpan.SetAttr("examined", fmt.Sprint(examined))
-			matchSpan.End()
-		}
-		matchChunks = append(matchChunks, fetch)
-		chunkSpan.End()
+		fetchT = append(fetchT, fetch)
 	}
-	rt.Stats.FS1Scan += access
-	rt.Stats.Chunks = len(scanChunks)
-	rt.Stats.Total = pipelineTime(access, scanChunks, matchChunks)
+	rt.Stats.FS1Scan = scanSim + access
+	rt.Stats.Chunks = len(scanT)
+	rt.Stats.Total = pipelineTime(access, scanT, fetchT)
+	rt.wall.fetch += time.Since(fetchStart)
+	if scanSpan != nil {
+		// The FS1 sim is the chunked index stream, known only after the
+		// walk; the span's wall time is the scan alone.
+		scanSpan.AddSim(scanSim)
+		scanSpan.SetAttr("chunks", strconv.Itoa(len(scanT)))
+	}
+	if fetchSpan != nil {
+		fetchSpan.AddSim(rt.Stats.DiskFetch)
+		fetchSpan.SetAttr("bytes", strconv.Itoa(rt.Stats.ClauseBytes))
+		fetchSpan.End()
+	}
+
+	matchSpan := rt.trace.Span(nil, stageFS2Match)
+	matchStart := time.Now()
+	for _, p := range pos {
+		sc := all[p]
+		if a.nm.Match(sc.Head) {
+			rt.Candidates = append(rt.Candidates, sc)
+		} else if a.nm.LastRejectXB() {
+			rt.Stats.FS2RejectsXB++
+		} else {
+			rt.Stats.FS2RejectsLevel++
+		}
+	}
+	rt.wall.fs2 += time.Since(matchStart)
+	if matchSpan != nil {
+		matchSpan.SetAttr("examined", strconv.Itoa(len(pos)))
+		matchSpan.End()
+	}
 	return nil
 }
 

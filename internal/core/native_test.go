@@ -10,6 +10,7 @@ import (
 	"clare/internal/pif"
 	"clare/internal/scw"
 	"clare/internal/symtab"
+	"clare/internal/telemetry"
 	"clare/internal/term"
 	"clare/internal/termgen"
 )
@@ -315,7 +316,9 @@ func TestNativeEngineConfig(t *testing.T) {
 
 // BenchmarkRetrieveEngines compares one FS1+FS2 retrieval end to end on
 // both engines (the clarebench NATIVE experiment measures the same split
-// at workload scale).
+// at workload scale), and on the native engine with metrics, tracer and
+// flight recorder armed as crsd runs it. The predicate streams as 64
+// pipeline chunks, so per-chunk costs show in allocs/op.
 func BenchmarkRetrieveEngines(b *testing.B) {
 	clauses := make([]ClauseTerm, 4096)
 	for i := range clauses {
@@ -323,10 +326,24 @@ func BenchmarkRetrieveEngines(b *testing.B) {
 			term.Atom(fmt.Sprintf("k%d", i%256)), term.Int(int64(i)))}
 	}
 	goal := term.New("p", term.Atom("k17"), term.NewVar("N"))
-	for _, eng := range []Engine{EngineSim, EngineNative} {
-		b.Run(eng.String(), func(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		eng   Engine
+		armed bool
+	}{
+		{"sim", EngineSim, false},
+		{"native", EngineNative, false},
+		{"native-armed", EngineNative, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			cfg := DefaultConfig()
-			cfg.Engine = eng
+			cfg.Engine = bc.eng
+			cfg.StreamChunkEntries = 64
+			if bc.armed {
+				cfg.Metrics = telemetry.NewRegistry()
+				cfg.Tracer = telemetry.NewTracer(256)
+				cfg.Flight = telemetry.NewFlightRecorder(256)
+			}
 			r, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -334,6 +351,7 @@ func BenchmarkRetrieveEngines(b *testing.B) {
 			if _, err := r.AddClauses("m", clauses); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.Retrieve(goal, ModeFS1FS2); err != nil {

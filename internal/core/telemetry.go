@@ -13,15 +13,18 @@ import (
 //	retrieve                       (root: predicate, mode, board slot)
 //	├─ encode                      (query-cache probe + SCW/PIF encode)
 //	├─ board_lease                 (wall time waiting for a free unit)
-//	├─ chunk[i]                    (fs1+fs2 mode: one pipeline chunk)
+//	├─ chunk[i]                    (sim engine, fs1+fs2 mode: one pipeline chunk)
 //	│  ├─ fs1_scan                 (index scan through FS1, disk-bound)
 //	│  ├─ disk_fetch               (surviving clause records off disk)
 //	│  └─ fs2_match                (partial test unification on the board)
 //	└─ host_match                  (software mode only)
 //
 // Flat modes (software, fs1, fs2) attach the stage spans directly under
-// the root. Sim durations come from the component models; wall durations
-// from the host clock.
+// the root, and so does the native engine in fs1+fs2 mode: it scans the
+// index once, so it records one fs1_scan, disk_fetch and fs2_match with
+// the chunk ledger summed into their sim time and the chunk count in the
+// fs1_scan "chunks" attribute. Sim durations come from the component
+// models; wall durations from the host clock.
 const (
 	stageEncode    = "encode"
 	stageLease     = "board_lease"

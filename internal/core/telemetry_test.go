@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +102,66 @@ func TestRetrievalSpanTree(t *testing.T) {
 	// The tracer ring holds the finished trace.
 	if last := tracer.Last(1); len(last) != 1 || last[0] != tr {
 		t.Error("finished trace not in the tracer ring")
+	}
+}
+
+// TestNativeRetrievalSpanTree: the native engine scans the index once and
+// prices the fs1+fs2 chunk pipeline as a ledger, so its span tree is flat
+// — root, encode, board lease and exactly one fs1_scan, disk_fetch and
+// fs2_match under the root, no chunk spans — with the ledger summed into
+// the stage spans' simulated time.
+func TestNativeRetrievalSpanTree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Engine = EngineNative
+	cfg.StreamChunkEntries = 16
+	cfg.Metrics = telemetry.NewRegistry()
+	cfg.Tracer = telemetry.NewTracer(128)
+	r := buildRetriever(t, cfg, 120, 6)
+	rt, err := r.Retrieve(parse.MustTerm("married_couple(X, Y)"), ModeFS1FS2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.Stats.Chunks < 2 {
+		t.Fatalf("Stats.Chunks = %d, want a multi-chunk pipeline", rt.Stats.Chunks)
+	}
+	tr := rt.Trace()
+	if tr == nil {
+		t.Fatal("retrieval carried no trace")
+	}
+	root := tr.Root()
+	if root.Name != "retrieve" || root.Sim != rt.Stats.Total {
+		t.Errorf("root span = %+v, Stats.Total %v", root, rt.Stats.Total)
+	}
+	byName := make(map[string]*telemetry.Span)
+	for _, sp := range tr.Spans[1:] {
+		if byName[sp.Name] != nil {
+			t.Errorf("more than one %s span", sp.Name)
+		}
+		if sp.Parent != root.ID {
+			t.Errorf("%s span parent = %d, want root %d", sp.Name, sp.Parent, root.ID)
+		}
+		byName[sp.Name] = sp
+	}
+	for _, name := range []string{"encode", "board_lease", "fs1_scan", "disk_fetch", "fs2_match"} {
+		if byName[name] == nil {
+			t.Errorf("no %s span", name)
+		}
+	}
+	if len(byName) != 5 {
+		t.Errorf("span names %v, want exactly the five stages", byName)
+	}
+	scan, fetch := byName["fs1_scan"], byName["disk_fetch"]
+	if scan == nil || fetch == nil {
+		t.FailNow()
+	}
+	if got, want := scan.Sim+r.cfg.Disk.AccessTime(), rt.Stats.FS1Scan; got != want {
+		t.Errorf("fs1_scan sim + access = %v, want Stats.FS1Scan %v", got, want)
+	}
+	if fetch.Sim != rt.Stats.DiskFetch {
+		t.Errorf("disk_fetch sim = %v, want Stats.DiskFetch %v", fetch.Sim, rt.Stats.DiskFetch)
+	}
+	if got, want := scan.Attrs["chunks"], strconv.Itoa(rt.Stats.Chunks); got != want {
+		t.Errorf("fs1_scan chunks attr = %q, want %q", got, want)
 	}
 }
 
